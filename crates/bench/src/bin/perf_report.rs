@@ -11,25 +11,27 @@
 //! --out     report path (default: BENCH_round_loop.json)
 //! ```
 //!
-//! The binary always validates the report it just wrote against the
-//! schema and exits non-zero on any violation, so the CI step doubles as
-//! the schema gate.
+//! The binary always validates the report it just wrote — the schema,
+//! the required-scenario list, and 0 B/step on the scenarios in
+//! `ZERO_ALLOC_SCENARIOS` — and exits non-zero on any violation, so the
+//! CI step doubles as the gate.
 
 use serde_json::Value;
 use skiptrain_bench::perf::{
     allocated_bytes, build_report, json_object, measure, validate_report,
-    validate_required_scenarios, CountingAllocator, ScenarioMeasurement, REQUIRED_SCENARIOS,
+    validate_required_scenarios, validate_zero_alloc, CountingAllocator, ScenarioMeasurement,
+    REQUIRED_SCENARIOS, ZERO_ALLOC_SCENARIOS,
 };
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState};
 use skiptrain_energy::trace::{HarvestProfile, HarvestTrace};
 use skiptrain_engine::transport::{
-    corrupt_frame_in_place, decode_frame, decode_frame_into, encode_message_with, MessageFate,
+    corrupt_frame_in_place, decode_frame_into, encode_message_with, verify_frame, MessageFate,
 };
 use skiptrain_engine::{
     ChurnModel, CompressionPolicy, ComputeProfile, DecodeScratch, EncodeScratch, EventEngine,
     LatencyModel, ModelCodec, RoundAction, RoundSemantics, Simulation, SimulationConfig,
-    TransportKind, BASE_TRAIN_TICKS,
+    ThreadPoolBuilder, TransportKind, BASE_TRAIN_TICKS,
 };
 use skiptrain_linalg::compress::{compress_with_feedback_top_k, FeedbackScratch};
 use skiptrain_linalg::Matrix;
@@ -406,7 +408,7 @@ fn main() {
         ));
     }
 
-    // --- adaptive-link scenario ------------------------------------------
+    // --- adaptive-link scenarios -----------------------------------------
     // The per-link compression policy layer in isolation: a 64-node
     // sync-only fleet under a diurnal harvest resolves the DEAL tier
     // table per sender per round (charge snapshot → tier lookup →
@@ -415,14 +417,33 @@ fn main() {
     // bytes. Sync-only rounds keep the (separately measured) training
     // path out of the window, and the round mixings are generated up
     // front from the edge-dropout schedule and cycled, so the measured
-    // loop is exactly the adaptive share machinery; its allocation proxy
-    // pins that tier resolution reuses the per-node codec rows, the
-    // charge-fraction snapshot buffer, and the per-receiver codec
-    // scratch (0 B at steady state).
-    {
+    // loop is exactly the adaptive share machinery. It runs twice: in
+    // memory, and on the lossy serialized transport, where every
+    // (sender, codec) pair is encoded into a reusable frame slot, verified
+    // once, aggregated from the wire bytes, and corrupted edges are
+    // proven by flip → verify-reject → flip back. Both run on a 1-thread
+    // pool (the vendored rayon allocates per parallel call at more
+    // threads), and `ZERO_ALLOC_SCENARIOS` makes 0 B/step a failing
+    // check: tier resolution, need scan, encode, verify, and aggregation
+    // must all reuse their buffers.
+    let one_thread = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap_or_else(|never| match never {});
+    for (name, transport) in [
+        ("adaptive_link_round", TransportKind::Memory),
+        (
+            "adaptive_link_round_serialized",
+            TransportKind::Serialized {
+                drop_prob: 0.05,
+                corrupt_prob: 0.01,
+            },
+        ),
+    ] {
         let n = 64;
         let graph = random_regular(n, 6, 13);
         let mut config = SimulationConfig::minimal(13, 16, 5, 0.5);
+        config.transport = transport;
         config.compression = CompressionPolicy::deal_tiers(64);
         config.training_energy_wh = vec![2e-4; n];
         config.battery = Some(BatterySetup {
@@ -449,30 +470,38 @@ fn main() {
         // Warm a full 16-round mixing/diurnal cycle (even in quick mode)
         // so the measured window sees converged scratch capacities —
         // every cached mixing's masked rows, per-link codec tables, and
-        // per-receiver codec scratch have reached their high-water marks.
+        // per-sender frame slots have reached their high-water marks.
         let (warmup, iters) = scale(64, 40);
-        scenarios.push(measure(
-            "adaptive_link_round",
-            json_object(vec![
-                ("nodes", Value::UInt(n as u64)),
-                ("degree", Value::UInt(6)),
-                (
-                    "schedule",
-                    Value::String("edge-dropout p=0.3 (16 cached)".into()),
-                ),
-                ("policy", Value::String("energy-adaptive deal tiers".into())),
-                ("k", Value::UInt(64)),
-                ("harvest", Value::String("diurnal 0.05 W peak".into())),
-                ("mode", Value::String(mode.into())),
-            ]),
-            warmup,
-            iters,
-            || {
-                let mixing = black_box(&mixings[sim.round() % mixings.len()]);
-                sim.try_run_round_with_mixing(black_box(&actions), mixing)
-                    .expect("cached scheduled graph matches the fleet");
-            },
-        ));
+        let transport_name = match transport {
+            TransportKind::Memory => "memory",
+            TransportKind::Serialized { .. } => "serialized drop 0.05 corrupt 0.01",
+        };
+        scenarios.push(one_thread.install(|| {
+            measure(
+                name,
+                json_object(vec![
+                    ("nodes", Value::UInt(n as u64)),
+                    ("degree", Value::UInt(6)),
+                    (
+                        "schedule",
+                        Value::String("edge-dropout p=0.3 (16 cached)".into()),
+                    ),
+                    ("policy", Value::String("energy-adaptive deal tiers".into())),
+                    ("k", Value::UInt(64)),
+                    ("harvest", Value::String("diurnal 0.05 W peak".into())),
+                    ("transport", Value::String(transport_name.into())),
+                    ("threads", Value::UInt(1)),
+                    ("mode", Value::String(mode.into())),
+                ]),
+                warmup,
+                iters,
+                || {
+                    let mixing = black_box(&mixings[sim.round() % mixings.len()]);
+                    sim.try_run_round_with_mixing(black_box(&actions), mixing)
+                        .expect("cached scheduled graph matches the fleet");
+                },
+            )
+        }));
     }
 
     // --- event-scheduler scenario ----------------------------------------
@@ -540,9 +569,9 @@ fn main() {
     // in-place bit-flip, checksum verify failure, flip-back. Its
     // allocation proxy pins that the corruption decision and the checksum
     // reject are allocation-free (the flip is XOR-in-place against the
-    // live frame; `decode_frame`'s checksum-failure path allocates
-    // nothing) — isolated from the serialized share loop, whose sender
-    // decode allocates its payload regardless of corruption.
+    // live frame; `verify_frame` materializes nothing) — the component the
+    // per-link share loop of `adaptive_link_round_serialized` runs on
+    // every corrupted edge.
     {
         let (n, degree) = (64usize, 6usize);
         let (warmup, iters) = scale(5, 100);
@@ -581,7 +610,7 @@ fn main() {
                         let dst = (src + hop) % n;
                         if transport.fate(7, round, src, dst) == MessageFate::Corrupted {
                             corrupt_frame_in_place(&mut frame, 7, round, src, dst);
-                            let rejected = decode_frame(&frame).is_err();
+                            let rejected = verify_frame(&frame).is_err();
                             corrupt_frame_in_place(&mut frame, 7, round, src, dst);
                             assert!(rejected, "corrupted frame must fail the checksum");
                             corrupted += 1;
@@ -628,6 +657,10 @@ fn main() {
     }
     if let Err(msg) = validate_required_scenarios(&parsed, REQUIRED_SCENARIOS) {
         eprintln!("perf report failed required-scenario validation: {msg}");
+        std::process::exit(1);
+    }
+    if let Err(msg) = validate_zero_alloc(&parsed, ZERO_ALLOC_SCENARIOS) {
+        eprintln!("perf report failed the zero-allocation gate: {msg}");
         std::process::exit(1);
     }
     println!(

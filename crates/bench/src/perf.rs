@@ -216,8 +216,10 @@ pub fn validate_report(report: &Value) -> Result<(), String> {
 /// policy layer (per-round charge snapshot, DEAL tier resolution into
 /// the per-node codec rows, heterogeneous-codec share, per-edge byte
 /// charging) on a 64-node diurnal battery fleet over cached
-/// edge-dropout mixings, whose allocation proxy gates that adaptive
-/// codec resolution stays allocation-free at steady state.
+/// edge-dropout mixings; `adaptive_link_round_serialized` is the same
+/// fleet on the lossy serialized transport (per-sender frame slots,
+/// verify once, aggregate from the wire bytes, corruption proofs). Both
+/// per-link scenarios are also in [`ZERO_ALLOC_SCENARIOS`].
 pub const REQUIRED_SCENARIOS: &[&str] = &[
     "sgd_step_mlp_medium_90k",
     "round_loop_train_64",
@@ -230,7 +232,38 @@ pub const REQUIRED_SCENARIOS: &[&str] = &[
     "event_round",
     "corrupt_frame_round",
     "adaptive_link_round",
+    "adaptive_link_round_serialized",
 ];
+
+/// Scenarios whose `bytes_allocated_proxy` must be exactly 0 — a failing
+/// check, not a recorded number. Both run on a 1-thread pool: the
+/// vendored rayon spawns scoped threads per parallel call at higher
+/// thread counts, which allocates outside the simulation's control.
+pub const ZERO_ALLOC_SCENARIOS: &[&str] =
+    &["adaptive_link_round", "adaptive_link_round_serialized"];
+
+/// Checks that every scenario in `names` is present in `report` and
+/// allocated 0 bytes per step.
+pub fn validate_zero_alloc(report: &Value, names: &[&str]) -> Result<(), String> {
+    let entries = report
+        .as_object()
+        .ok_or_else(|| "report must be a JSON object".to_string())?;
+    for name in names {
+        let bytes = entries
+            .iter()
+            .find(|(k, _)| k == name)
+            .and_then(|(_, entry)| entry.as_object())
+            .and_then(|fields| fields.iter().find(|(k, _)| k == "bytes_allocated_proxy"))
+            .and_then(|(_, v)| v.as_u64())
+            .ok_or_else(|| format!("zero-allocation scenario '{name}' is missing"))?;
+        if bytes != 0 {
+            return Err(format!(
+                "scenario '{name}' allocated {bytes} B/step; it must allocate nothing"
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// Checks that `report` contains every key in `required` (shape is
 /// checked separately by [`validate_report`]).
@@ -343,6 +376,32 @@ mod tests {
             REQUIRED_SCENARIOS.contains(&"codec_quantized_u16_roundtrip"),
             "the quantized wire-path allocation gate must stay pinned"
         );
+    }
+
+    #[test]
+    fn zero_alloc_gate_fails_on_a_single_byte() {
+        let mut clean: Vec<ScenarioMeasurement> = ZERO_ALLOC_SCENARIOS
+            .iter()
+            .map(|name| ScenarioMeasurement {
+                bytes_allocated_proxy: 0,
+                ..sample_measurement(name)
+            })
+            .collect();
+        let report = build_report("rev", &clean);
+        validate_zero_alloc(&report, ZERO_ALLOC_SCENARIOS).expect("0 B/step passes");
+        clean[1].bytes_allocated_proxy = 1;
+        let report = build_report("rev", &clean);
+        let err = validate_zero_alloc(&report, ZERO_ALLOC_SCENARIOS).unwrap_err();
+        assert!(
+            err.contains(ZERO_ALLOC_SCENARIOS[1]),
+            "unexpected error: {err}"
+        );
+        // a gated scenario that vanished fails too
+        let report = build_report("rev", &clean[..1]);
+        assert!(validate_zero_alloc(&report, ZERO_ALLOC_SCENARIOS).is_err());
+        for name in ZERO_ALLOC_SCENARIOS {
+            assert!(REQUIRED_SCENARIOS.contains(name), "{name} must be required");
+        }
     }
 
     #[test]

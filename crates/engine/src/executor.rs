@@ -1,12 +1,39 @@
 //! The synchronous round executor.
+//!
+//! A round runs four phases: local compute (train or sync-only, parallel
+//! over nodes), share, aggregate `x^t = Σ_j W_ji x_j^{t−½}` over the
+//! round's effective mixing, and energy accounting over the edges that
+//! actually fired. Dropped, late, and corrupted edges fold their weight
+//! back onto the receiver's own half-step model on every path.
+//!
+//! Share + aggregate has three implementations, picked by the
+//! compression config:
+//!
+//! * **Uniform codec** — one payload per sender (zero-copy for dense in
+//!   memory), aggregated through the indexed weighted-sum kernel.
+//! * **Per-link policy** (`Simulation::share_aggregate_per_link`) — a
+//!   two-stage pipeline. A serial need scan marks each (sender, resolved
+//!   codec) pair some on-time edge needs; stage 1 (sender-parallel)
+//!   encodes each pair once into the sender's reusable frame slot and,
+//!   on the serialized transport, verifies it once without decoding;
+//!   stage 2 (receiver-parallel) aggregates each row straight from the
+//!   slots' wire bytes ([`crate::transport::PayloadView::blend_axpy`]),
+//!   bit-identical to a per-edge encode/decode round trip. A corrupted
+//!   edge is proven in the energy phase by flipping its seeded bit on the
+//!   sender's own frame, checking that [`crate::transport::verify_frame`]
+//!   rejects it, and flipping the bit back — the flip is an involution,
+//!   so no receiver ever needs a frame copy.
+//! * **Error feedback** — per-edge compression of the link residual
+//!   against a per-link replica (every edge's payload is unique).
 
 use crate::error::EngineError;
 use crate::eval::{evaluate_model, fixed_subsample, EVAL_CHUNK};
 use crate::metrics::EvalStats;
 use crate::node::Node;
 use crate::transport::{
-    corrupt_frame_in_place, decode_frame, encode_message_into, rarity_k, tier_codec,
-    CompressionPolicy, ErrorFeedbackState, MessageFate, ModelCodec, Payload, TransportKind,
+    corrupt_frame_in_place, decode_frame, encode_message_into, encode_message_with, rarity_k,
+    tier_codec, verify_frame, view_verified_frame, CompressionPolicy, EncodeScratch,
+    ErrorFeedbackState, MessageFate, ModelCodec, Payload, PayloadView, TransportKind,
 };
 use rayon::prelude::*;
 use skiptrain_data::Dataset;
@@ -16,8 +43,7 @@ use skiptrain_energy::trace::HarvestTrace;
 use skiptrain_energy::EnergyLedger;
 use skiptrain_linalg::compress::{
     accumulate_delta, compress_with_feedback_top_k, compress_with_feedback_u16,
-    compress_with_feedback_u8, dequantize_u16, dequantize_u8, gather_into, quantize_u16_into,
-    quantize_u8_into, scatter_axpy, sparse_blend_axpy, top_k_indices_into, FeedbackScratch,
+    compress_with_feedback_u8, scatter_axpy, sparse_blend_axpy, FeedbackScratch,
 };
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::{Sequential, SoftmaxCrossEntropy};
@@ -290,6 +316,65 @@ struct EdgeScratch {
     frame: Vec<u8>,
 }
 
+/// One encoded payload of a sender for the per-link share path: the wire
+/// frame for one codec some on-time out-edge resolved this round.
+#[derive(Debug, Clone, Default)]
+struct EncodedSlot {
+    codec: ModelCodec,
+    frame: Vec<u8>,
+    /// The frame passed the receive-side verify (always true in memory,
+    /// where nothing crosses a wire). Receivers aggregate only verified
+    /// frames.
+    verified: bool,
+}
+
+/// Per-sender stage-1 output of the per-link share path: one
+/// [`EncodedSlot`] per (sender, resolved codec) pair. Slots and their
+/// frame buffers persist across rounds — only the first `live` are
+/// current — so steady-state rounds allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct SenderFrames {
+    slots: Vec<EncodedSlot>,
+    live: usize,
+    /// Top-k selection scratch for this sender's encodes.
+    scratch: EncodeScratch,
+}
+
+impl SenderFrames {
+    /// Marks `codec` as needed this round (idempotent) for a model of
+    /// `params` parameters. The frame and the encode scratch are sized
+    /// here, on the serial need scan, so the parallel encodes never grow
+    /// a buffer — no allocation lands in a worker thread's heap.
+    fn need(&mut self, codec: ModelCodec, params: usize) {
+        if self.slots[..self.live].iter().any(|s| s.codec == codec) {
+            return;
+        }
+        if self.live == self.slots.len() {
+            self.slots.push(EncodedSlot::default());
+        }
+        let slot = &mut self.slots[self.live];
+        slot.codec = codec;
+        slot.frame.clear();
+        slot.frame.reserve(codec.message_bytes(params) as usize);
+        self.scratch.reserve_for(codec, params);
+        self.live += 1;
+    }
+
+    fn slot_mut(&mut self, codec: ModelCodec) -> Option<&mut EncodedSlot> {
+        self.slots[..self.live]
+            .iter_mut()
+            .find(|s| s.codec == codec)
+    }
+
+    /// The verified payload this sender encoded under `codec` this round.
+    fn payload(&self, codec: ModelCodec) -> Option<PayloadView<'_>> {
+        let slot = self.slots[..self.live]
+            .iter()
+            .find(|s| s.codec == codec && s.verified)?;
+        view_verified_frame(&slot.frame).ok().map(|v| v.payload)
+    }
+}
+
 /// Collects per-sender payloads into the codec's aggregation shape.
 /// `None` entries are non-senders (no off-diagonal mixing weight anywhere).
 fn pack_payloads(codec: ModelCodec, payloads: Vec<Option<Payload>>) -> Shared {
@@ -354,6 +439,8 @@ pub struct Simulation {
     feedback: Option<ErrorFeedbackState>,
     /// Per-receiver reusable buffers for the per-edge feedback share path.
     edge_scratch: Vec<EdgeScratch>,
+    /// Per-sender encoded payloads for the per-link share path.
+    sender_frames: Vec<SenderFrames>,
     /// Closed-loop battery gating runtime, when configured.
     battery: Option<BatteryRuntime>,
     /// Sorted directed edges whose message missed the current round's
@@ -530,6 +617,7 @@ impl Simulation {
             mean_scratch: Vec::new(),
             feedback,
             edge_scratch: vec![EdgeScratch::default(); n],
+            sender_frames: vec![SenderFrames::default(); n],
             late_edges: Vec::new(),
             virtual_round_end: None,
             corrupted_frames: 0,
@@ -1138,123 +1226,131 @@ impl Simulation {
     }
 
     /// Share + aggregate for adaptive (non-uniform) compression policies
-    /// without error feedback: receiver-parallel, compressing each
-    /// delivered directed edge separately with the codec
-    /// [`Simulation::resolve_link_codecs`] picked for it this round. A
-    /// top-k edge's untransmitted coordinates and every dropped, late, or
-    /// corrupted edge fall back onto the receiver's own half-step model,
-    /// exactly like the uniform paths. The serialized transport runs a
-    /// genuine per-edge encode/decode round trip; the in-memory transport
-    /// uses the equivalent kernels through per-receiver reusable buffers
-    /// (allocation-free at steady state).
+    /// without error feedback, as a two-stage pipeline.
+    ///
+    /// Every out-edge of a sender that resolved the same codec carries
+    /// the same bytes (under DEAL tiers the codec depends on the sender's
+    /// charge alone), so the payload is produced once per (sender, codec)
+    /// pair instead of once per edge:
+    ///
+    /// 0. *Need scan* (serial): walk the effective mixing and mark each
+    ///    (sender, resolved codec) pair some on-time, non-dropped edge
+    ///    needs — delivered edges to aggregate it, corrupted ones to prove
+    ///    the checksum reject. A sender may need several codecs (per-link
+    ///    tables, rarity-scaled top-k). In memory, dense links read the
+    ///    sender's model in place and need nothing.
+    /// 1. *Encode* (sender-parallel): encode each marked pair once into
+    ///    the sender's reusable frame slot — quantized codes and top-k
+    ///    pairs are written straight into the frame. On the serialized
+    ///    transport each frame then passes the receive-side
+    ///    [`verify_frame`] once (checksum, lengths, top-k index order),
+    ///    materializing nothing.
+    /// 2. *Aggregate* (receiver-parallel): each row is summed straight
+    ///    from the slots through [`PayloadView::blend_axpy`] — dense
+    ///    words, dequantized codes, or the masked top-k blend — in the
+    ///    fixed order zero, row-order contributions, self weight last.
+    ///    Every element sees the same operations as decode-then-`axpy`,
+    ///    so results are bit-identical to a per-edge encode/decode round
+    ///    trip, and no decoded model copy exists.
+    ///
+    /// A top-k edge's untransmitted coordinates and every dropped, late,
+    /// or corrupted edge fall back onto the receiver's own half-step
+    /// model, exactly like the uniform paths. Corrupted edges are proven
+    /// (and counted) in [`Simulation::account_energy`] by flipping the
+    /// seeded bit on the sender's own frame, verifying the reject, and
+    /// flipping it back.
     fn share_aggregate_per_link(&mut self, mixing_override: Option<&MixingMatrix>) {
         let mixing = mixing_override.unwrap_or(&self.mixing);
         let half = &self.half;
         let round_codecs = &self.round_codecs;
         let transport = self.config.transport;
+        let serialized = !matches!(transport, TransportKind::Memory);
         let seed = self.config.seed;
         let round = self.round;
         let round_u32 = self.round as u32;
         let late = &self.late_edges;
-        self.next
-            .par_iter_mut()
-            .zip(self.edge_scratch.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, (out, scratch))| {
-                let row = mixing.row(i);
-                out.fill(0.0);
-                // Self weight plus every fallback weight lands on the
-                // receiver's own model, applied last in a fixed order for
-                // determinism across thread counts.
-                let mut self_weight = 0.0f32;
-                for (pos, &(j, w)) in row.iter().enumerate() {
-                    let src = j as usize;
-                    if src == i {
-                        self_weight += w;
-                        continue;
-                    }
-                    let codec = round_codecs[i][pos];
-                    let fate = transport.fate(seed, round, src, i);
-                    let on_time = edge_on_time(late, src, i);
-                    if fate != MessageFate::Delivered || !on_time {
-                        // Same degradation contract as every other path:
-                        // weight folds to self; a corrupted frame proves
-                        // the receive-side checksum reject first. (The
-                        // counter lives in `account_energy`.)
-                        if fate == MessageFate::Corrupted && on_time {
-                            encode_message_into(
-                                codec,
-                                j,
-                                round_u32,
-                                &half[src],
-                                &mut scratch.frame,
-                            );
-                            corrupt_frame_in_place(&mut scratch.frame, seed, round, src, i);
-                            let rejected = decode_frame(&scratch.frame).is_err();
-                            debug_assert!(
-                                rejected,
-                                "corrupted frame must fail the checksum verify"
-                            );
-                        }
-                        self_weight += w;
-                        continue;
-                    }
-                    match transport {
-                        TransportKind::Memory => match codec {
-                            ModelCodec::DenseF32 => {
-                                skiptrain_linalg::ops::axpy(w, &half[src], out);
-                            }
-                            ModelCodec::QuantizedU8 => {
-                                let p = quantize_u8_into(&half[src], &mut scratch.codes8);
-                                dequantize_u8(p, &scratch.codes8, &mut scratch.recon);
-                                skiptrain_linalg::ops::axpy(w, &scratch.recon, out);
-                            }
-                            ModelCodec::QuantizedU16 => {
-                                let p = quantize_u16_into(&half[src], &mut scratch.codes16);
-                                dequantize_u16(p, &scratch.codes16, &mut scratch.recon);
-                                skiptrain_linalg::ops::axpy(w, &scratch.recon, out);
-                            }
-                            ModelCodec::TopK { k } => {
-                                top_k_indices_into(&half[src], k, &mut scratch.indices);
-                                gather_into(&half[src], &scratch.indices, &mut scratch.values);
-                                sparse_blend_axpy(
-                                    out,
-                                    &half[i],
-                                    &scratch.indices,
-                                    &scratch.values,
-                                    w,
-                                );
-                                self_weight += w;
-                            }
-                        },
-                        TransportKind::Serialized { .. } => {
-                            // The wire carries this link's codec id in its
-                            // frame header, so heterogeneous links decode
-                            // without out-of-band coordination.
-                            encode_message_into(
-                                codec,
-                                j,
-                                round_u32,
-                                &half[src],
-                                &mut scratch.frame,
-                            );
-                            let msg =
-                                // lint:allow(no_panic, "frame was written by encode_message_into on the line above; a fresh in-process frame always decodes")
-                                decode_frame(&scratch.frame).expect("in-process frame decodes");
-                            match msg.payload {
-                                Payload::Dense(recon) => {
-                                    skiptrain_linalg::ops::axpy(w, &recon, out);
-                                }
-                                Payload::Sparse { indices, values } => {
-                                    sparse_blend_axpy(out, &half[i], &indices, &values, w);
-                                    self_weight += w;
-                                }
-                            }
-                        }
-                    }
+        let params = self.param_count;
+
+        // Stage 0: need scan.
+        let sender_frames = &mut self.sender_frames;
+        for frames in sender_frames.iter_mut() {
+            frames.live = 0;
+        }
+        for (i, codecs) in round_codecs.iter().enumerate().take(mixing.len()) {
+            for (&(j, _), &codec) in mixing.row(i).iter().zip(codecs) {
+                let src = j as usize;
+                if src == i || (!serialized && codec == ModelCodec::DenseF32) {
+                    continue;
                 }
-                skiptrain_linalg::ops::axpy(self_weight, &half[i], out);
+                if transport.fate(seed, round, src, i) != MessageFate::Dropped
+                    && edge_on_time(late, src, i)
+                {
+                    sender_frames[src].need(codec, params);
+                }
+            }
+        }
+
+        // Stage 1: encode once per (sender, codec), verify once per frame.
+        sender_frames
+            .par_iter_mut()
+            .zip(half.par_iter())
+            .enumerate()
+            .for_each(|(j, (frames, model))| {
+                let SenderFrames {
+                    slots,
+                    live,
+                    scratch,
+                } = frames;
+                for slot in &mut slots[..*live] {
+                    encode_message_with(
+                        slot.codec,
+                        j as u32,
+                        round_u32,
+                        model,
+                        &mut slot.frame,
+                        scratch,
+                    );
+                    slot.verified = !serialized || verify_frame(&slot.frame).is_ok();
+                    debug_assert!(slot.verified, "a freshly encoded frame must verify");
+                }
             });
+
+        // Stage 2: aggregate every row from the slots.
+        let sender_frames = &self.sender_frames;
+        self.next.par_iter_mut().enumerate().for_each(|(i, out)| {
+            let row = mixing.row(i);
+            out.fill(0.0);
+            // Self weight plus every fallback weight lands on the
+            // receiver's own model, applied last in a fixed order for
+            // determinism across thread counts.
+            let mut self_weight = 0.0f32;
+            for (pos, &(j, w)) in row.iter().enumerate() {
+                let src = j as usize;
+                if src == i
+                    || transport.fate(seed, round, src, i) != MessageFate::Delivered
+                    || !edge_on_time(late, src, i)
+                {
+                    self_weight += w;
+                    continue;
+                }
+                let codec = round_codecs[i][pos];
+                if !serialized && codec == ModelCodec::DenseF32 {
+                    skiptrain_linalg::ops::axpy(w, &half[src], out);
+                    continue;
+                }
+                let payload = sender_frames[src].payload(codec);
+                debug_assert!(payload.is_some(), "stage 1 encodes every needed pair");
+                match payload {
+                    Some(p) => {
+                        if p.blend_axpy(w, &half[i], out) {
+                            self_weight += w;
+                        }
+                    }
+                    None => self_weight += w,
+                }
+            }
+            skiptrain_linalg::ops::axpy(self_weight, &half[i], out);
+        });
     }
 
     /// Fused share + aggregate for error-feedback compression.
@@ -1483,24 +1579,31 @@ impl Simulation {
                         self.ledger.record_rx(i, msg_bytes, &comm);
                     }
                     MessageFate::Corrupted if on_time => {
-                        // The frame arrived mangled: count it, and when the
-                        // plain serialized share phase left this sender's
-                        // real wire bytes in scratch, run them through the
-                        // receive-side checksum verify to prove the reject
-                        // path. XOR is self-inverse, so flipping the seeded
-                        // bit twice restores the shared frame in place —
-                        // no copy, no allocation.
-                        self.corrupted_frames += 1;
-                        let frame = &mut self.encode_scratch[j];
-                        if !frame.is_empty() {
-                            corrupt_frame_in_place(frame, seed, self.round, j, i);
-                            let rejected = decode_frame(frame).is_err();
-                            corrupt_frame_in_place(frame, seed, self.round, j, i);
-                            debug_assert!(
-                                rejected,
-                                "corrupted frame must fail the checksum verify"
-                            );
-                        }
+                        // The frame arrived mangled: prove the receive-side
+                        // reject on the sender's real wire bytes, when a
+                        // share path left them in place — the uniform
+                        // path's per-sender frame, or the per-link path's
+                        // slot for this edge's codec — then count it. XOR
+                        // is self-inverse, so flipping the seeded bit
+                        // twice restores the shared frame in place: no
+                        // copy, no allocation.
+                        let frame = match uniform_bytes {
+                            Some(_) => Some(&mut self.encode_scratch[j]),
+                            None => self.sender_frames[j]
+                                .slot_mut(self.round_codecs[i][pos])
+                                .map(|slot| &mut slot.frame),
+                        };
+                        let rejected = match frame {
+                            Some(frame) if !frame.is_empty() => {
+                                corrupt_frame_in_place(frame, seed, self.round, j, i);
+                                let rejected = verify_frame(frame).is_err();
+                                corrupt_frame_in_place(frame, seed, self.round, j, i);
+                                rejected
+                            }
+                            _ => true,
+                        };
+                        debug_assert!(rejected, "corrupted frame must fail the checksum verify");
+                        self.corrupted_frames += u64::from(rejected);
                     }
                     _ => {}
                 }

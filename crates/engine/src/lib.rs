@@ -116,3 +116,9 @@ pub use transport::{
     rarity_k, tier_codec, CompressionPolicy, DecodeScratch, EncodeScratch, EnergyTier,
     ErrorFeedbackState, LinkCodec, ModelCodec, TransportKind, DEFAULT_REPLICA_CAP,
 };
+
+/// Builder of the worker pool the executor's parallel phases run on,
+/// re-exported so harnesses can pin a simulation's thread count
+/// (`ThreadPoolBuilder::new().num_threads(n).build()?.install(..)`)
+/// without a direct dependency.
+pub use rayon::ThreadPoolBuilder;

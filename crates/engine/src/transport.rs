@@ -42,6 +42,28 @@
 //! sizes come from [`ModelCodec::message_bytes`] and feed the per-edge
 //! energy ledger.
 //!
+//! The checksum is defined serially (`c = c.rotate_left(5) ^ byte`) but
+//! computed by folding the payload into 32 byte lanes, which vectorizes
+//! and gives the same value (see `checksum_of`).
+//!
+//! # Verify, decode, and the per-link pipeline
+//!
+//! [`verify_frame`] runs every receive-side check — header, checksum,
+//! payload length, top-k index order — and returns a [`FrameView`] whose
+//! [`PayloadView`] borrows the wire bytes; nothing is materialized.
+//! [`decode_frame_into`] is `verify_frame` followed by a copy out of the
+//! view, so the two accept and reject exactly the same frames.
+//!
+//! The executor's per-link share path builds on this split: it encodes
+//! each (sender, codec) pair once, verifies the frame once, and lets every
+//! receiver aggregate straight from the frame through
+//! [`PayloadView::blend_axpy`] — bit-identical to decoding then running
+//! `axpy` / `sparse_blend_axpy`. Corruption is proven on the sender's own
+//! frame: [`corrupt_frame_in_place`] flips one seeded payload bit,
+//! `verify_frame` must reject it with [`DecodeError::BadChecksum`], and a
+//! second identical flip restores the frame (the flip is an involution),
+//! so no receiver-side copy is ever made.
+//!
 //! Quantized payloads dequantize at decode, so the values entering the
 //! receiver's aggregation carry genuine quantization error. Top-k payloads
 //! stay sparse: the aggregation substitutes the receiver's own parameters
@@ -112,8 +134,8 @@
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::compress::{
-    dequantize_one, dequantize_u16, dequantize_u8, gather, quantize_u16, quantize_u16_into,
-    quantize_u8, quantize_u8_into, top_k_indices, top_k_indices_into, AffineParams,
+    affine_params, dequantize_one, dequantize_u16, dequantize_u8, gather, quantize_one,
+    quantize_u16, quantize_u8, top_k_indices, top_k_indices_into, AffineParams,
 };
 use skiptrain_linalg::rng::derive_seed;
 
@@ -759,30 +781,63 @@ pub struct DecodedMessage {
     pub payload: Payload,
 }
 
+/// The frame checksum: a rotate-xor over the payload bytes, defined
+/// serially as `c = c.rotate_left(5) ^ byte` from `c = 0`.
+///
+/// Computed without the serial dependency chain: byte `t` of an
+/// `L`-byte payload ends up rotated left by `5·(L−1−t)`, and rotating a
+/// `u32` by 5 bits 32 times is the identity (`5·32 ≡ 0 mod 32`), so only
+/// `(L−1−t) mod 32` matters. The payload is XOR-folded into 32 byte lanes
+/// aligned from its end (lane `q` collects every byte `31 − q` positions
+/// before a 32-byte boundary counted from the end), which vectorizes, and
+/// the lanes are combined as `lane[q].rotate_left(5·(31−q) mod 32)`. The
+/// value is bit-identical to the serial definition for every input
+/// (pinned by a test against the serial reference).
 fn checksum_of(payload: &[u8]) -> u32 {
-    let mut c = 0u32;
-    for &b in payload {
-        c = c.rotate_left(5) ^ b as u32;
+    let mut lanes = [0u8; 32];
+    let head = payload.len() % 32;
+    let (first, blocks) = payload.split_at(head);
+    // the leading partial block sits at the end of its 32-lane window
+    for (lane, &b) in lanes[32 - head..].iter_mut().zip(first) {
+        *lane ^= b;
     }
-    c
+    for block in blocks.chunks_exact(32) {
+        for (lane, &b) in lanes.iter_mut().zip(block) {
+            *lane ^= b;
+        }
+    }
+    lanes.iter().enumerate().fold(0u32, |c, (q, &lane)| {
+        c ^ u32::from(lane).rotate_left((5 * (31 - q) % 32) as u32)
+    })
 }
 
-/// Reusable intermediate buffers for [`encode_message_with`]: quantization
-/// codes and top-k index scratch. Capacity is retained across calls, so a
-/// long-lived scratch makes lossy-codec encoding allocation-free at
-/// steady state (the dense codec never needs intermediates).
+/// Reusable intermediate buffer for [`encode_message_with`]: the top-k
+/// selection scratch. Quantized codes are written straight into the
+/// frame, so only top-k needs an intermediate. Capacity is retained
+/// across calls, so a long-lived scratch makes encoding allocation-free
+/// at steady state for every codec.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    codes8: Vec<u8>,
-    codes16: Vec<u16>,
     indices: Vec<u32>,
+}
+
+impl EncodeScratch {
+    /// Grows the scratch to what encoding `params` parameters under
+    /// `codec` needs, so the encode itself allocates nothing.
+    pub fn reserve_for(&mut self, codec: ModelCodec, params: usize) {
+        if let ModelCodec::TopK { .. } = codec {
+            self.indices.clear();
+            self.indices.reserve(params);
+        }
+    }
 }
 
 /// Encodes a flat model into a framed message under `codec`, writing into
 /// a reusable buffer (cleared first; capacity is retained across calls).
-/// Lossy codecs materialize their quantization codes / top-k indices in
-/// a fresh allocation per call; [`encode_message_with`] is the fully
-/// allocation-free form over a caller-held [`EncodeScratch`].
+/// Dense and quantized payloads are written straight into `buf`; the
+/// top-k codec's selection scratch is a fresh allocation per call.
+/// [`encode_message_with`] is the fully allocation-free form over a
+/// caller-held [`EncodeScratch`].
 pub fn encode_message_into(
     codec: ModelCodec,
     sender: u32,
@@ -794,11 +849,19 @@ pub fn encode_message_into(
     encode_message_with(codec, sender, round, params, buf, &mut scratch);
 }
 
+/// Appends `n` zero bytes to `buf` and returns them for in-place writes.
+fn grow(buf: &mut Vec<u8>, n: usize) -> &mut [u8] {
+    let start = buf.len();
+    buf.resize(start + n, 0);
+    &mut buf[start..]
+}
+
 /// Encodes a flat model into a framed message under `codec`, writing the
-/// frame into `buf` and routing every codec intermediate (quantization
-/// codes, top-k indices) through `scratch`. With both buffers reused
-/// across calls, encoding is allocation-free at steady state for every
-/// codec — the path the perf gate's codec roundtrip scenarios pin.
+/// frame into `buf` (quantization codes included — they never pass
+/// through an intermediate buffer) and routing the top-k selection
+/// through `scratch`. With both buffers reused across calls, encoding is
+/// allocation-free at steady state for every codec — the path the perf
+/// gate's codec roundtrip and per-link round scenarios pin.
 pub fn encode_message_with(
     codec: ModelCodec,
     sender: u32,
@@ -826,22 +889,24 @@ pub fn encode_message_with(
     let payload_start = buf.len();
     match codec {
         ModelCodec::DenseF32 => {
-            for &p in params {
-                put_u32_le(buf, p.to_bits());
+            for (word, &p) in grow(buf, 4 * params.len()).chunks_exact_mut(4).zip(params) {
+                word.copy_from_slice(&p.to_bits().to_le_bytes());
             }
         }
         ModelCodec::QuantizedU8 => {
-            let p = quantize_u8_into(params, &mut scratch.codes8);
+            let p = affine_params(params, 256);
             put_u32_le(buf, p.min.to_bits());
             put_u32_le(buf, p.scale.to_bits());
-            buf.extend_from_slice(&scratch.codes8);
+            for (code, &v) in grow(buf, params.len()).iter_mut().zip(params) {
+                *code = quantize_one(v, p, 255) as u8;
+            }
         }
         ModelCodec::QuantizedU16 => {
-            let p = quantize_u16_into(params, &mut scratch.codes16);
+            let p = affine_params(params, 65_536);
             put_u32_le(buf, p.min.to_bits());
             put_u32_le(buf, p.scale.to_bits());
-            for &c in &scratch.codes16 {
-                buf.extend_from_slice(&c.to_le_bytes());
+            for (code, &v) in grow(buf, 2 * params.len()).chunks_exact_mut(2).zip(params) {
+                code.copy_from_slice(&(quantize_one(v, p, 65_535) as u16).to_le_bytes());
             }
         }
         ModelCodec::TopK { k } => {
@@ -868,38 +933,254 @@ pub fn encode_message(codec: ModelCodec, sender: u32, round: u32, params: &[f32]
     Bytes::from(buf)
 }
 
-/// Byte-slice cursor used by [`decode_frame`]; bounds were validated
-/// against the header before parsing starts.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+#[inline]
+fn be_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        out
+#[inline]
+fn le_word(word: &[u8]) -> u32 {
+    u32::from_le_bytes([word[0], word[1], word[2], word[3]])
+}
+
+/// A frame's payload, borrowed straight from the wire bytes — nothing is
+/// dequantized or copied until a consumer reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PayloadView<'a> {
+    /// `count` little-endian `f32` words.
+    Dense(&'a [u8]),
+    /// Affine parameters and `count` `u8` codes.
+    QuantizedU8 {
+        /// Reconstruction offset and step.
+        params: AffineParams,
+        /// One code byte per parameter.
+        codes: &'a [u8],
+    },
+    /// Affine parameters and `count` little-endian `u16` codes.
+    QuantizedU16 {
+        /// Reconstruction offset and step.
+        params: AffineParams,
+        /// Two code bytes per parameter.
+        codes: &'a [u8],
+    },
+    /// Top-k pairs: `k` ascending little-endian `u32` indices, then their
+    /// `k` little-endian `f32` values.
+    Sparse {
+        /// Index words.
+        indices: &'a [u8],
+        /// Value words, aligned with `indices`.
+        values: &'a [u8],
+    },
+}
+
+impl PayloadView<'_> {
+    /// Adds this payload's weighted contribution to an aggregate, reading
+    /// the wire bytes directly: `out += w · x` for dense and quantized
+    /// payloads (codes dequantize through [`dequantize_one`]), and
+    /// the masked blend `out[idx] += w · (v − base[idx])` for top-k pairs,
+    /// whose untransmitted coordinates fall back onto `base`.
+    ///
+    /// Each element sees exactly the operations of decoding followed by
+    /// `axpy` / `sparse_blend_axpy`, so the result is bit-identical to the
+    /// materializing path. Returns `true` for sparse payloads: the caller
+    /// then owes `w · base` for the untransmitted coordinates (folded into
+    /// its self weight).
+    ///
+    /// # Panics
+    /// Panics if `out` (or, for sparse payloads, `base`) is shorter than
+    /// the payload's parameter count.
+    pub fn blend_axpy(&self, w: f32, base: &[f32], out: &mut [f32]) -> bool {
+        match *self {
+            PayloadView::Dense(words) => {
+                assert_eq!(words.len(), 4 * out.len(), "dense payload length");
+                for (o, word) in out.iter_mut().zip(words.chunks_exact(4)) {
+                    *o += w * f32::from_bits(le_word(word));
+                }
+                false
+            }
+            PayloadView::QuantizedU8 { params, codes } => {
+                assert_eq!(codes.len(), out.len(), "u8 payload length");
+                for (o, &c) in out.iter_mut().zip(codes) {
+                    *o += w * dequantize_one(params, u32::from(c));
+                }
+                false
+            }
+            PayloadView::QuantizedU16 { params, codes } => {
+                assert_eq!(codes.len(), 2 * out.len(), "u16 payload length");
+                for (o, c) in out.iter_mut().zip(codes.chunks_exact(2)) {
+                    let code = u16::from_le_bytes([c[0], c[1]]);
+                    *o += w * dequantize_one(params, u32::from(code));
+                }
+                false
+            }
+            PayloadView::Sparse { indices, values } => {
+                for (iw, vw) in indices.chunks_exact(4).zip(values.chunks_exact(4)) {
+                    let i = le_word(iw) as usize;
+                    out[i] += w * (f32::from_bits(le_word(vw)) - base[i]);
+                }
+                true
+            }
+        }
     }
 
-    fn get_u32(&mut self) -> u32 {
-        // lint:allow(no_panic, "take(4) returns exactly 4 bytes, so the array conversion cannot fail")
-        u32::from_be_bytes(self.take(4).try_into().expect("4 bytes"))
+    /// Materializes the payload into `scratch` (cleared first, capacity
+    /// retained): dense and quantized payloads become a dense `f32`
+    /// vector, top-k pairs an index list and a value list.
+    fn decode_into(self, scratch: &mut DecodeScratch) -> PayloadRef<'_> {
+        match self {
+            PayloadView::Dense(words) => {
+                scratch.dense.clear();
+                scratch
+                    .dense
+                    .extend(words.chunks_exact(4).map(|w| f32::from_bits(le_word(w))));
+                PayloadRef::Dense(&scratch.dense)
+            }
+            PayloadView::QuantizedU8 { params, codes } => {
+                scratch.dense.clear();
+                scratch
+                    .dense
+                    .extend(codes.iter().map(|&c| dequantize_one(params, u32::from(c))));
+                PayloadRef::Dense(&scratch.dense)
+            }
+            PayloadView::QuantizedU16 { params, codes } => {
+                scratch.dense.clear();
+                scratch.dense.extend(
+                    codes.chunks_exact(2).map(|c| {
+                        dequantize_one(params, u32::from(u16::from_le_bytes([c[0], c[1]])))
+                    }),
+                );
+                PayloadRef::Dense(&scratch.dense)
+            }
+            PayloadView::Sparse { indices, values } => {
+                scratch.indices.clear();
+                scratch.indices.extend(indices.chunks_exact(4).map(le_word));
+                scratch.values.clear();
+                scratch
+                    .values
+                    .extend(values.chunks_exact(4).map(|w| f32::from_bits(le_word(w))));
+                PayloadRef::Sparse {
+                    indices: &scratch.indices,
+                    values: &scratch.values,
+                }
+            }
+        }
     }
+}
 
-    fn get_u32_le(&mut self) -> u32 {
-        // lint:allow(no_panic, "take(4) returns exactly 4 bytes, so the array conversion cannot fail")
-        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
-    }
+/// A frame's header and borrowed payload, as [`verify_frame`] accepts it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameView<'a> {
+    /// Sender node id.
+    pub sender: u32,
+    /// Round the model was produced in.
+    pub round: u32,
+    /// Dense parameter count of the original model.
+    pub param_count: usize,
+    /// The payload, still in wire form.
+    pub payload: PayloadView<'a>,
+}
 
-    fn get_u16_le(&mut self) -> u16 {
-        // lint:allow(no_panic, "take(2) returns exactly 2 bytes, so the array conversion cannot fail")
-        u16::from_le_bytes(self.take(2).try_into().expect("2 bytes"))
-    }
+/// Verifies a frame without materializing anything: the header, the
+/// payload checksum, the payload length the header implies, and — for
+/// top-k frames — that the indices are strictly ascending and inside the
+/// declared parameter count. These are exactly the checks
+/// [`decode_frame_into`] makes (it is this function followed by a copy
+/// out of the returned view), so the two accept and reject the same
+/// frames with the same [`DecodeError`].
+///
+/// Checks run in a fixed order: length, magic, checksum, then the
+/// codec-specific structure. Verifying the checksum before parsing means
+/// a corrupted payload deterministically reports
+/// [`DecodeError::BadChecksum`]. Nothing is allocated, whatever the
+/// untrusted `count` header says.
+pub fn verify_frame(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
+    view_frame(frame, true)
+}
 
-    fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
+/// [`verify_frame`] without the payload scans (checksum and top-k index
+/// order): an O(1) structural parse for frames this process encoded and
+/// already verified.
+pub(crate) fn view_verified_frame(frame: &[u8]) -> Result<FrameView<'_>, DecodeError> {
+    view_frame(frame, false)
+}
+
+fn view_frame(frame: &[u8], scan: bool) -> Result<FrameView<'_>, DecodeError> {
+    if frame.len() < FRAME_OVERHEAD as usize {
+        return Err(DecodeError::Truncated);
     }
+    if be_u32(frame, 0) != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let codec_id = be_u32(frame, 4);
+    let sender = be_u32(frame, 8);
+    let round = be_u32(frame, 12);
+    let count = be_u32(frame, 16) as usize;
+    // All that remains is payload + 4-byte checksum.
+    let payload_end = frame.len() - 4;
+    let payload = &frame[PAYLOAD_START..payload_end];
+    if scan && checksum_of(payload) != be_u32(frame, payload_end) {
+        return Err(DecodeError::BadChecksum);
+    }
+    // lengths compare in u64 so a hostile `count` cannot overflow
+    let expect_len = |len: u64| {
+        if payload.len() as u64 == len {
+            Ok(())
+        } else {
+            Err(DecodeError::LengthMismatch)
+        }
+    };
+    let affine = || AffineParams {
+        min: f32::from_bits(le_word(&payload[0..4])),
+        scale: f32::from_bits(le_word(&payload[4..8])),
+    };
+    let payload = match codec_id {
+        0 => {
+            expect_len(4 * count as u64)?;
+            PayloadView::Dense(payload)
+        }
+        1 => {
+            expect_len(8 + count as u64)?;
+            PayloadView::QuantizedU8 {
+                params: affine(),
+                codes: &payload[8..],
+            }
+        }
+        2 => {
+            expect_len(8 + 2 * count as u64)?;
+            PayloadView::QuantizedU16 {
+                params: affine(),
+                codes: &payload[8..],
+            }
+        }
+        3 => {
+            if payload.len() < 4 {
+                return Err(DecodeError::LengthMismatch);
+            }
+            let k = be_u32(payload, 0) as usize;
+            expect_len(4 + 8 * k as u64)?;
+            let (indices, values) = payload[4..].split_at(4 * k);
+            if scan {
+                // strictly ascending: rejects out-of-range *and* duplicate
+                // indices, which would double-apply in the blend kernels
+                let mut prev: Option<u32> = None;
+                for word in indices.chunks_exact(4) {
+                    let idx = le_word(word);
+                    if idx as usize >= count || prev.is_some_and(|p| p >= idx) {
+                        return Err(DecodeError::IndexOutOfRange);
+                    }
+                    prev = Some(idx);
+                }
+            }
+            PayloadView::Sparse { indices, values }
+        }
+        _ => return Err(DecodeError::UnknownCodec),
+    };
+    Ok(FrameView {
+        sender,
+        round,
+        param_count: count,
+        payload,
+    })
 }
 
 /// Reusable decode-side payload buffers for [`decode_frame_into`].
@@ -967,111 +1248,23 @@ pub fn decode_frame(frame: &[u8]) -> Result<DecodedMessage, DecodeError> {
     })
 }
 
-/// Decodes a frame into reusable caller buffers: the payload lands in
-/// `scratch` (cleared first, capacity retained) and the returned message
-/// borrows it. With a long-lived scratch this path performs no heap
-/// allocation, which is what keeps the perf gate's codec roundtrip
-/// scenarios at a zero alloc proxy.
+/// Decodes a frame into reusable caller buffers: [`verify_frame`], then
+/// the payload is copied out of the wire bytes into `scratch` (cleared
+/// first, capacity retained) and the returned message borrows it. A
+/// rejected frame allocates nothing; an accepted one reserves at most what
+/// its verified length implies. With a long-lived scratch this path
+/// performs no heap allocation, which is what keeps the perf gate's codec
+/// roundtrip scenarios at a zero alloc proxy.
 pub fn decode_frame_into<'a>(
     frame: &[u8],
     scratch: &'a mut DecodeScratch,
 ) -> Result<DecodedMessageRef<'a>, DecodeError> {
-    if frame.len() < FRAME_OVERHEAD as usize {
-        return Err(DecodeError::Truncated);
-    }
-    let mut r = Reader { buf: frame, pos: 0 };
-    if r.get_u32() != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let codec_id = r.get_u32();
-    let sender = r.get_u32();
-    let round = r.get_u32();
-    let count = r.get_u32() as usize;
-    // All that remains is payload + 4-byte checksum. Verify the checksum
-    // *before* parsing: corruption then deterministically reports
-    // `BadChecksum`, and corrupt payloads are never allocated or
-    // dequantized.
-    let body = &frame[r.pos..];
-    if body.len() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let payload_len = body.len() - 4;
-    // lint:allow(no_panic, "payload_len = body.len() - 4, so the trailing slice is exactly 4 bytes")
-    let expected = u32::from_be_bytes(body[payload_len..].try_into().expect("4 trailing bytes"));
-    if checksum_of(&body[..payload_len]) != expected {
-        return Err(DecodeError::BadChecksum);
-    }
-    let payload = match codec_id {
-        0 => {
-            if payload_len != count * 4 {
-                return Err(DecodeError::LengthMismatch);
-            }
-            scratch.dense.clear();
-            scratch.dense.reserve(count);
-            for _ in 0..count {
-                scratch.dense.push(f32::from_bits(r.get_u32_le()));
-            }
-            PayloadRef::Dense(&scratch.dense)
-        }
-        1 | 2 => {
-            let width = if codec_id == 1 { 1 } else { 2 };
-            if payload_len != 8 + count * width {
-                return Err(DecodeError::LengthMismatch);
-            }
-            let p = AffineParams {
-                min: f32::from_bits(r.get_u32_le()),
-                scale: f32::from_bits(r.get_u32_le()),
-            };
-            scratch.dense.clear();
-            scratch.dense.reserve(count);
-            if codec_id == 1 {
-                for _ in 0..count {
-                    scratch.dense.push(dequantize_one(p, r.get_u8() as u32));
-                }
-            } else {
-                for _ in 0..count {
-                    scratch.dense.push(dequantize_one(p, r.get_u16_le() as u32));
-                }
-            }
-            PayloadRef::Dense(&scratch.dense)
-        }
-        3 => {
-            if payload_len < 4 {
-                return Err(DecodeError::LengthMismatch);
-            }
-            let k = r.get_u32() as usize;
-            if payload_len != 4 + 8 * k {
-                return Err(DecodeError::LengthMismatch);
-            }
-            scratch.indices.clear();
-            scratch.indices.reserve(k);
-            for _ in 0..k {
-                let idx = r.get_u32_le();
-                // strictly ascending: rejects out-of-range *and* duplicate
-                // indices, which would double-apply in the scatter kernels
-                if idx as usize >= count || scratch.indices.last().is_some_and(|&prev| prev >= idx)
-                {
-                    return Err(DecodeError::IndexOutOfRange);
-                }
-                scratch.indices.push(idx);
-            }
-            scratch.values.clear();
-            scratch.values.reserve(k);
-            for _ in 0..k {
-                scratch.values.push(f32::from_bits(r.get_u32_le()));
-            }
-            PayloadRef::Sparse {
-                indices: &scratch.indices,
-                values: &scratch.values,
-            }
-        }
-        _ => return Err(DecodeError::UnknownCodec),
-    };
+    let view = verify_frame(frame)?;
     Ok(DecodedMessageRef {
-        sender,
-        round,
-        param_count: count,
-        payload,
+        sender: view.sender,
+        round: view.round,
+        param_count: view.param_count,
+        payload: view.payload.decode_into(scratch),
     })
 }
 
@@ -1728,6 +1921,232 @@ mod tests {
         // Header stays parseable: only payload bytes may change.
         assert_eq!(&b[..PAYLOAD_START], &clean[..PAYLOAD_START]);
         assert_eq!(&b[b.len() - 4..], &clean[clean.len() - 4..]);
+    }
+
+    /// The serial definition the lane-folded checksum must reproduce.
+    fn serial_checksum(payload: &[u8]) -> u32 {
+        payload
+            .iter()
+            .fold(0u32, |c, &b| c.rotate_left(5) ^ u32::from(b))
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64 stream).
+    fn noise_bytes(len: usize, stream: u64) -> Vec<u8> {
+        let mut x = stream;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_matches_serial_reference_for_every_length() {
+        for len in 0..=300 {
+            for stream in 0..4 {
+                let bytes = noise_bytes(len, (len as u64) << 8 | stream);
+                assert_eq!(
+                    checksum_of(&bytes),
+                    serial_checksum(&bytes),
+                    "length {len}, stream {stream}"
+                );
+            }
+        }
+        // all-ones bytes exercise every lane's rotation at full width
+        let ones = vec![0xFFu8; 97];
+        assert_eq!(checksum_of(&ones), serial_checksum(&ones));
+    }
+
+    #[test]
+    fn checksum_matches_serial_reference_on_frames_of_every_codec() {
+        let params: Vec<f32> = (0..1031).map(|i| (i as f32 * 0.61).sin() * 3.0).collect();
+        for codec in [
+            ModelCodec::DenseF32,
+            ModelCodec::QuantizedU8,
+            ModelCodec::QuantizedU16,
+            ModelCodec::TopK { k: 77 },
+        ] {
+            let frame = encode_message(codec, 4, 9, &params).to_vec();
+            let end = frame.len() - 4;
+            let trailer = u32::from_be_bytes(frame[end..].try_into().unwrap());
+            assert_eq!(
+                trailer,
+                serial_checksum(&frame[PAYLOAD_START..end]),
+                "{codec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoded_codes_match_the_quantize_kernels() {
+        use skiptrain_linalg::compress::{quantize_u16_into, quantize_u8_into};
+        let params: Vec<f32> = (0..333).map(|i| (i as f32 * 0.23).cos() * 5.0).collect();
+        let mut codes8 = Vec::new();
+        let p8 = quantize_u8_into(&params, &mut codes8);
+        let frame = encode_message(ModelCodec::QuantizedU8, 0, 0, &params).to_vec();
+        assert_eq!(
+            &frame[PAYLOAD_START..PAYLOAD_START + 4],
+            &p8.min.to_le_bytes()
+        );
+        assert_eq!(&frame[PAYLOAD_START + 8..frame.len() - 4], &codes8[..]);
+        let mut codes16 = Vec::new();
+        let p16 = quantize_u16_into(&params, &mut codes16);
+        let frame = encode_message(ModelCodec::QuantizedU16, 0, 0, &params).to_vec();
+        assert_eq!(
+            &frame[PAYLOAD_START + 4..PAYLOAD_START + 8],
+            &p16.scale.to_le_bytes()
+        );
+        let le: Vec<u8> = codes16.iter().flat_map(|c| c.to_le_bytes()).collect();
+        assert_eq!(&frame[PAYLOAD_START + 8..frame.len() - 4], &le[..]);
+    }
+
+    #[test]
+    fn blend_axpy_is_bit_identical_to_decode_then_aggregate() {
+        use skiptrain_linalg::compress::sparse_blend_axpy;
+        let params: Vec<f32> = (0..517).map(|i| (i as f32 * 0.37).sin() * 2.5).collect();
+        let base: Vec<f32> = (0..517).map(|i| (i as f32 * 0.11).cos()).collect();
+        let start: Vec<f32> = (0..517).map(|i| i as f32 * 1e-3).collect();
+        let w = 0.173f32;
+        for codec in [
+            ModelCodec::DenseF32,
+            ModelCodec::QuantizedU8,
+            ModelCodec::QuantizedU16,
+            ModelCodec::TopK { k: 40 },
+        ] {
+            let frame = encode_message(codec, 1, 2, &params).to_vec();
+            let mut expected = start.clone();
+            let sparse = match decode_frame(&frame).unwrap().payload {
+                Payload::Dense(recon) => {
+                    skiptrain_linalg::ops::axpy(w, &recon, &mut expected);
+                    false
+                }
+                Payload::Sparse { indices, values } => {
+                    sparse_blend_axpy(&mut expected, &base, &indices, &values, w);
+                    true
+                }
+            };
+            let mut fused = start.clone();
+            let view = verify_frame(&frame).unwrap();
+            assert_eq!(view.payload.blend_axpy(w, &base, &mut fused), sparse);
+            assert!(
+                fused
+                    .iter()
+                    .zip(&expected)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{codec:?}: fused aggregation diverged"
+            );
+            let unscanned = view_verified_frame(&frame).unwrap();
+            assert_eq!(unscanned, view);
+        }
+    }
+
+    #[test]
+    fn verify_accepts_exactly_what_decode_accepts() {
+        let params = [1.0f32, -2.0, 3.5, 0.25];
+        let frame = encode_message(ModelCodec::TopK { k: 2 }, 6, 3, &params);
+        let view = verify_frame(frame.as_slice()).unwrap();
+        assert_eq!((view.sender, view.round, view.param_count), (6, 3, 4));
+        let bad = retamper(frame.clone(), |bytes| bytes[24] = 200);
+        let bad = bad.as_slice();
+        assert_eq!(verify_frame(bad), Err(DecodeError::IndexOutOfRange));
+        // the O(1) structural view skips the payload scans by design
+        assert!(view_verified_frame(bad).is_ok());
+    }
+
+    /// One frame of codec `which` (0..4) over `params`.
+    fn frame_of(which: usize, k: usize, params: &[f32]) -> Vec<u8> {
+        let codec = [
+            ModelCodec::DenseF32,
+            ModelCodec::QuantizedU8,
+            ModelCodec::QuantizedU16,
+            ModelCodec::TopK { k },
+        ][which];
+        encode_message(codec, 5, 8, params).to_vec()
+    }
+
+    /// Verify and decode on one input: both must return (never panic) and
+    /// agree on accept/reject and on the error.
+    fn verify_and_decode(frame: &[u8]) -> Result<(), DecodeError> {
+        let mut scratch = DecodeScratch::default();
+        let decoded = decode_frame_into(frame, &mut scratch).map(|_| ());
+        let verified = verify_frame(frame).map(|_| ());
+        assert_eq!(decoded, verified, "verify and decode disagree");
+        decoded
+    }
+
+    mod robustness {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_bytes_never_panic(words in proptest::collection::vec(0u16..256, 0..160)) {
+                let bytes: Vec<u8> = words.iter().map(|&b| b as u8).collect();
+                let _ = verify_and_decode(&bytes);
+            }
+
+            #[test]
+            fn arbitrary_payload_behind_a_valid_header_never_panics(
+                codec_id in 0u32..5,
+                count in 0u32..64,
+                words in proptest::collection::vec(0u16..256, 0..300),
+            ) {
+                let payload: Vec<u8> = words.iter().map(|&b| b as u8).collect();
+                let mut frame = Vec::new();
+                for word in [MAGIC, codec_id, 1, 2, count] {
+                    frame.extend_from_slice(&word.to_be_bytes());
+                }
+                frame.extend_from_slice(&payload);
+                let checksum = checksum_of(&frame[PAYLOAD_START..]);
+                frame.extend_from_slice(&checksum.to_be_bytes());
+                let _ = verify_and_decode(&frame);
+            }
+
+            #[test]
+            fn truncated_frames_are_rejected(
+                which in 0usize..4,
+                k in 1usize..40,
+                params in proptest::collection::vec(-8.0f32..8.0, 1..120),
+                cut in 0.0f64..1.0,
+            ) {
+                let frame = frame_of(which, k, &params);
+                let len = (cut * frame.len() as f64) as usize;
+                prop_assert!(len < frame.len());
+                prop_assert!(verify_and_decode(&frame[..len]).is_err());
+            }
+
+            #[test]
+            fn payload_bit_flips_fail_the_checksum(
+                which in 0usize..4,
+                k in 1usize..40,
+                params in proptest::collection::vec(-8.0f32..8.0, 1..120),
+                at in 0.0f64..1.0,
+            ) {
+                let mut frame = frame_of(which, k, &params);
+                let bits = (frame.len() - PAYLOAD_START) * 8;
+                let bit = PAYLOAD_START * 8 + ((at * bits as f64) as usize).min(bits - 1);
+                frame[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_eq!(verify_and_decode(&frame), Err(DecodeError::BadChecksum));
+            }
+
+            #[test]
+            fn header_bit_flips_never_panic(
+                which in 0usize..4,
+                k in 1usize..40,
+                params in proptest::collection::vec(-8.0f32..8.0, 1..120),
+                bit in 0usize..160,
+            ) {
+                let mut frame = frame_of(which, k, &params);
+                frame[bit / 8] ^= 1 << (bit % 8);
+                let _ = verify_and_decode(&frame);
+            }
+        }
     }
 
     #[test]

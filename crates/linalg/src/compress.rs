@@ -79,8 +79,11 @@ pub fn affine_params(src: &[f32], levels: u32) -> AffineParams {
     }
 }
 
+/// Quantizes one value to its affine code in `0..=max_code` — the
+/// per-element map behind [`quantize_u8_into`] / [`quantize_u16_into`],
+/// exposed so wire encoders can write codes straight into a frame.
 #[inline]
-fn encode_one(v: f32, p: AffineParams, max_code: u32) -> u32 {
+pub fn quantize_one(v: f32, p: AffineParams, max_code: u32) -> u32 {
     if p.scale == 0.0 {
         return 0;
     }
@@ -103,7 +106,7 @@ pub fn quantize_u8(src: &[f32]) -> (AffineParams, Vec<u8>) {
 pub fn quantize_u8_into(src: &[f32], codes: &mut Vec<u8>) -> AffineParams {
     let p = affine_params(src, 256);
     codes.clear();
-    codes.extend(src.iter().map(|&v| encode_one(v, p, 255) as u8));
+    codes.extend(src.iter().map(|&v| quantize_one(v, p, 255) as u8));
     p
 }
 
@@ -118,7 +121,7 @@ pub fn quantize_u16(src: &[f32]) -> (AffineParams, Vec<u16>) {
 pub fn quantize_u16_into(src: &[f32], codes: &mut Vec<u16>) -> AffineParams {
     let p = affine_params(src, 65_536);
     codes.clear();
-    codes.extend(src.iter().map(|&v| encode_one(v, p, 65_535) as u16));
+    codes.extend(src.iter().map(|&v| quantize_one(v, p, 65_535) as u16));
     p
 }
 
